@@ -5,7 +5,7 @@
 GO ?= go
 BENCH_LABEL ?= $(shell date +%Y%m%d)
 
-.PHONY: all build test race vet lint faults trace-smoke ci bench bench-json bench-diff bench-scale
+.PHONY: all build test race vet lint faults fuzz fuzz-gate trace-smoke ci bench bench-json bench-diff bench-scale
 
 all: build
 
@@ -41,6 +41,24 @@ race:
 faults:
 	SLIM_FAULT_SWEEP=1 $(GO) test -run FaultSweep ./internal/trim/ ./internal/mark/
 
+# The fuzz lane: runs every Fuzz* target in the module for FUZZTIME each
+# (go test fuzzes one target per invocation). Plain `go test` already
+# replays each target's seeds and committed testdata/fuzz corpus; this
+# lane searches for new failing inputs.
+FUZZTIME ?= 10s
+fuzz:
+	@for f in $$(git ls-files '*_test.go' | xargs grep -l '^func Fuzz'); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz ./$$(dirname $$f) $$t"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f) || exit 1; \
+		done; \
+	done
+
+# The gating fuzz step of `make ci`: TRIM's op-sequence fuzzer against the
+# reference model (internal/trim/fuzz_test.go) for a fixed budget.
+fuzz-gate:
+	$(GO) test -run '^$$' -fuzz FuzzManagerOps -fuzztime 10s ./internal/trim/
+
 # The trace-smoke lane (docs/OBSERVABILITY.md): drives a real DMI op
 # through the binaries' trace subcommands and the -serve endpoints, and
 # checks the resulting causal tree spans the dmi → trim → mark layers and
@@ -48,7 +66,7 @@ faults:
 trace-smoke:
 	$(GO) test -run TraceSmoke ./cmd/trimq/ ./cmd/slimpad/
 
-ci: lint build race faults trace-smoke
+ci: lint build race faults fuzz-gate trace-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI lane: lint (vet + slimvet), build, the full test suite under the
 # race detector, then the env-gated fault-injection sweep — persistence
-# faults plus the WAL torture lane (docs/ROBUSTNESS.md). Mirrors
+# faults plus the WAL torture lane (docs/ROBUSTNESS.md), then a bounded
+# run of TRIM's op-sequence fuzzer. Mirrors
 # `make ci` for environments without make.
 set -eux
 
@@ -14,6 +15,8 @@ go run ./cmd/slimvet -baseline "" -enable aliasguard,lockorder,atomichygiene,gor
 go build ./...
 go test -race ./...
 SLIM_FAULT_SWEEP=1 go test -run FaultSweep ./internal/trim/ ./internal/mark/
+# Gating fuzz step: TRIM op sequences against the reference model.
+go test -run '^$' -fuzz FuzzManagerOps -fuzztime 10s ./internal/trim/
 go test -run TraceSmoke ./cmd/trimq/ ./cmd/slimpad/
 
 # Gating slimload smoke: a short concurrent sweep must complete without
