@@ -1,11 +1,12 @@
 // Ablation benches for the design choices DESIGN.md calls out: the indexed
-// Manager versus a raw scan, atomic batches versus single creates, and the
-// §6 "alternative implementation mechanism" compact store versus the
-// reference Manager.
+// Manager versus a raw scan, atomic batches versus single creates, and
+// bulk loading versus one create per triple into the interned layout (§6's
+// "alternative implementation mechanisms" for large data).
 package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rdf"
@@ -85,64 +86,60 @@ func BenchmarkAblation_BatchVsSingle(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_CompactStore: the interned-term compact store versus
-// the reference Manager — bulk load, point query, and full-content memory
-// behavior (-benchmem shows the allocation difference).
-func BenchmarkAblation_CompactStore(b *testing.B) {
+// BenchmarkAblation_LoadPath: filling the interned layout one Create at a
+// time versus one bulk Replace from a parsed graph (the LoadFile path),
+// with the live heap each store holds afterwards reported as
+// heap-bytes/triple, and a point select on the loaded store.
+func BenchmarkAblation_LoadPath(b *testing.B) {
 	const size = 20000
-	var triples []rdf.Triple
+	g := rdf.NewGraph()
 	for i := 0; i < size; i++ {
-		triples = append(triples, syntheticTriple(i))
+		g.Add(syntheticTriple(i))
 	}
-	b.Run("manager-load", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := trim.NewManager()
-			for _, t := range triples {
-				if _, err := m.Create(t); err != nil {
-					b.Fatal(err)
-				}
+	triples := g.All()
+	heapPerTriple := func(b *testing.B, load func() *trim.Manager) {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := load()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(m.Len()), "heap-bytes/triple")
+	}
+	create := func() *trim.Manager {
+		m := trim.NewManager()
+		for _, t := range triples {
+			if _, err := m.Create(t); err != nil {
+				panic(err)
 			}
 		}
-	})
-	b.Run("compact-load", func(b *testing.B) {
+		return m
+	}
+	replace := func() *trim.Manager {
+		m := trim.NewManager()
+		m.Replace(g)
+		return m
+	}
+	b.Run("create", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c := trim.NewCompactStore()
-			for _, t := range triples {
-				if _, err := c.Create(t); err != nil {
-					b.Fatal(err)
-				}
-			}
+			create()
 		}
+		heapPerTriple(b, create)
 	})
-
-	m := trim.NewManager()
-	c := trim.NewCompactStore()
-	for _, t := range triples {
-		m.Create(t)
-		c.Create(t)
-	}
-	// Subject in the half that survives the compaction sub-bench below.
+	b.Run("replace", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			replace()
+		}
+		heapPerTriple(b, replace)
+	})
+	m := replace()
 	pat := rdf.P(rdf.IRI("http://t/s15555"), rdf.Zero, rdf.Zero)
-	b.Run("manager-select", func(b *testing.B) {
+	b.Run("select", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sink += len(m.Select(pat))
-		}
-	})
-	b.Run("compact-select", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += len(c.Select(pat))
-		}
-	})
-	b.Run("compact-after-compaction", func(b *testing.B) {
-		for i := 0; i < size/2; i++ {
-			c.Remove(triples[i])
-		}
-		c.Compact()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sink += len(c.Select(pat))
 		}
 	})
 }

@@ -34,8 +34,8 @@
 // backend. walcheck inspects a WAL read-only — tail integrity, record
 // count, snapshot usability — and exits non-zero on a torn tail, so
 // scripts can gate on it. space runs the deep space accountant (total vs
-// unique string bytes, per-index overhead, duplication ratio, projected
-// interning win); -probe adds benchmark-style allocs/op and B/op probes
+// unique string bytes, duplication ratio, and the bytes the interned
+// layout holds in its dictionary, rows, and postings); -probe adds benchmark-style allocs/op and B/op probes
 // over the heavy-hitter query shapes, and -min-dup exits non-zero when
 // the duplication ratio falls below the floor, so scripts can gate on
 // that too.
@@ -324,10 +324,8 @@ func space(m *trim.Manager, jsonOut, probe bool, probeIters int, minDup float64,
 			sp.Subject.Unique, sp.Subject.Refs, sp.Subject.UniqueBytes, sp.Subject.TotalBytes,
 			sp.Predicate.Unique, sp.Predicate.Refs, sp.Predicate.UniqueBytes, sp.Predicate.TotalBytes,
 			sp.Object.Unique, sp.Object.Refs, sp.Object.UniqueBytes, sp.Object.TotalBytes)
-		for _, ix := range sp.Indexes {
-			fmt.Fprintf(out, "index %s: %d bucket(s), %d entrie(s), ~%d overhead byte(s)\n",
-				ix.Name, ix.Buckets, ix.Entries, ix.OverheadBytes)
-		}
+		fmt.Fprintf(out, "layout: dictionary %d byte(s) for %d term(s), rows %d byte(s), postings %d byte(s)\n",
+			sp.Interning.DictionaryBytes, sp.UniqueTerms, sp.Interning.TripleBytes, sp.Interning.IndexBytes)
 		for i, ps := range sp.Predicates {
 			if i == 10 {
 				fmt.Fprintf(out, "... %d more predicate(s)\n", len(sp.Predicates)-i)
@@ -336,9 +334,6 @@ func space(m *trim.Manager, jsonOut, probe bool, probeIters int, minDup float64,
 			fmt.Fprintf(out, "predicate %-40s %6d triple(s) %10d byte(s) %5.1f%%\n",
 				ps.Predicate, ps.Triples, ps.TotalBytes, 100*ps.Share)
 		}
-		fmt.Fprintf(out, "interning projection: dict=%d triples=%d indexes=%d -> %d byte(s), saves %d (%.1fx smaller)\n",
-			sp.Interning.DictionaryBytes, sp.Interning.TripleBytes, sp.Interning.IndexBytes,
-			sp.Interning.ProjectedBytes, sp.Interning.SavedBytes, sp.Interning.Factor)
 		for _, p := range probes {
 			fmt.Fprintln(out, p)
 		}

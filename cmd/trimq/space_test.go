@@ -8,15 +8,15 @@ import (
 
 // TestSpaceCommand drives `trimq space` over the fixture store: the human
 // form leads with the headline line, the JSON form carries the acceptance
-// fields (total vs unique string bytes, per-index overhead, duplication
-// ratio, projected interning win).
+// fields (total vs unique string bytes, duplication ratio, and the
+// measured dictionary/row/posting bytes of the interned layout).
 func TestSpaceCommand(t *testing.T) {
 	path := storeFile(t)
 	var out strings.Builder
 	if err := run([]string{"-store", path, "space"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"bytes/triple=", "dup=", "interning projection:", "index spo:"} {
+	for _, want := range []string{"bytes/triple=", "dup=", "layout: dictionary "} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("space output missing %q:\n%s", want, out.String())
 		}
@@ -32,14 +32,11 @@ func TestSpaceCommand(t *testing.T) {
 		UniqueStringBytes int64   `json:"unique_string_bytes"`
 		DuplicationRatio  float64 `json:"duplication_ratio"`
 		BytesPerTriple    float64 `json:"bytes_per_triple"`
-		Indexes           []struct {
-			Name          string `json:"name"`
-			OverheadBytes int64  `json:"overhead_bytes"`
-		} `json:"indexes"`
-		Interning struct {
-			ProjectedBytes int64   `json:"projected_bytes"`
-			SavedBytes     int64   `json:"saved_bytes"`
-			Factor         float64 `json:"factor"`
+		StoreBytes        int64   `json:"store_bytes"`
+		Interning         struct {
+			DictionaryBytes int64 `json:"dictionary_bytes"`
+			TripleBytes     int64 `json:"triple_bytes"`
+			IndexBytes      int64 `json:"index_bytes"`
 		} `json:"interning"`
 		Probes []json.RawMessage `json:"probes"`
 	}
@@ -49,11 +46,13 @@ func TestSpaceCommand(t *testing.T) {
 	if rep.Triples == 0 || rep.TotalStringBytes <= rep.UniqueStringBytes || rep.DuplicationRatio <= 1 {
 		t.Fatalf("space report = %+v", rep)
 	}
-	if len(rep.Indexes) != 3 || rep.Indexes[0].OverheadBytes == 0 {
-		t.Fatalf("index overhead missing: %+v", rep.Indexes)
+	in := rep.Interning
+	if in.DictionaryBytes <= rep.UniqueStringBytes || in.TripleBytes == 0 || in.IndexBytes == 0 ||
+		in.DictionaryBytes+in.TripleBytes+in.IndexBytes != rep.StoreBytes {
+		t.Fatalf("layout bytes = %+v, store_bytes %d", in, rep.StoreBytes)
 	}
-	if rep.Interning.ProjectedBytes == 0 || rep.Interning.SavedBytes <= 0 || rep.Interning.Factor <= 1 {
-		t.Fatalf("interning projection = %+v", rep.Interning)
+	if want := float64(rep.StoreBytes) / float64(rep.Triples); rep.BytesPerTriple != want {
+		t.Fatalf("bytes_per_triple = %v, want %v", rep.BytesPerTriple, want)
 	}
 	if len(rep.Probes) != 0 {
 		t.Fatalf("probes present without -probe: %d", len(rep.Probes))

@@ -38,12 +38,26 @@ func SchemeClass(scheme string) rdf.Term {
 	return rdf.IRI(rdf.NSMark + strings.ToUpper(scheme[:1]) + scheme[1:] + "Mark")
 }
 
-// SaveTo writes every stored mark into the triple store. Existing triples
-// for the same mark ids are replaced.
+// SaveTo writes every stored mark into the triple store in one batch.
+// Existing triples for the same mark ids are replaced, and the triples of
+// every mark:Mark resource no longer in the manager are removed, so a
+// removed mark stays removed after a reload.
 func (mm *Manager) SaveTo(store *trim.Manager) error {
 	obs.C(obs.NameMarkPersistSaveTotal).Inc()
 	b := store.NewBatch()
-	for _, m := range mm.Marks() {
+	marks := mm.Marks()
+	live := make(map[rdf.Term]bool, len(marks))
+	for _, m := range marks {
+		live[MarkIRI(m.ID)] = true
+	}
+	for _, iri := range store.Subjects(rdf.RDFType, ClassMark) {
+		if !live[iri] {
+			if err := b.RemoveMatching(rdf.P(iri, rdf.Zero, rdf.Zero)); err != nil {
+				return err
+			}
+		}
+	}
+	for _, m := range marks {
 		iri := MarkIRI(m.ID)
 		if err := b.RemoveMatching(rdf.P(iri, rdf.Zero, rdf.Zero)); err != nil {
 			return err

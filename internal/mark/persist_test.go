@@ -146,3 +146,43 @@ func TestSchemeClass(t *testing.T) {
 		t.Errorf("empty scheme class = %v", SchemeClass(""))
 	}
 }
+
+// TestSaveToPersistsRemoval: a mark removed from the manager loses its
+// triples at the next SaveTo, so a reload does not bring it back.
+func TestSaveToPersistsRemoval(t *testing.T) {
+	mm := NewManager()
+	app := &echoApp{selection: base.Address{Scheme: "echo", File: "f", Path: "1"}}
+	if err := mm.RegisterApplication(app); err != nil {
+		t.Fatal(err)
+	}
+	first, err := mm.CreateFromSelection("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.selection.Path = "2"
+	second, err := mm.CreateFromSelection("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := trim.NewManager()
+	if err := mm.SaveTo(store); err != nil {
+		t.Fatal(err)
+	}
+	if !mm.Remove(first.ID) {
+		t.Fatalf("Remove(%s) = false", first.ID)
+	}
+	if err := mm.SaveTo(store); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Count(rdf.P(MarkIRI(first.ID), rdf.Zero, rdf.Zero)); n != 0 {
+		t.Fatalf("removed mark still has %d triple(s) in the store", n)
+	}
+	back := NewManager()
+	if err := back.LoadFrom(store); err != nil {
+		t.Fatal(err)
+	}
+	got := back.Marks()
+	if len(got) != 1 || got[0].ID != second.ID {
+		t.Fatalf("reloaded marks = %v, want only %s", got, second.ID)
+	}
+}

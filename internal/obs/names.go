@@ -187,8 +187,7 @@ const (
 
 // Store space accounting (internal/trim/space.go): the deep space
 // accountant's last-report gauges, republished so Prometheus can plot the
-// bytes-per-triple trajectory across the term-dictionary work (ROADMAP
-// item 1). Gauges are integers, so the duplication ratio is exported in
+// bytes-per-triple trajectory of the interned store layout. Gauges are integers, so the duplication ratio is exported in
 // percent (×100).
 const (
 	NameTrimSpaceTotal          = "trim.space.total"
@@ -196,7 +195,6 @@ const (
 	NameTrimSpaceStringBytes    = "trim.space.string.bytes"
 	NameTrimSpaceUniqueBytes    = "trim.space.string.unique.bytes"
 	NameTrimSpaceDupPct         = "trim.space.duplication.pct"
-	NameTrimSpaceInterningSaved = "trim.space.interning.saved.bytes"
 )
 
 // Alloc-per-op probe harness (internal/trim/probe.go, `trimq space

@@ -8,6 +8,7 @@ import (
 	"repro/internal/base/spreadsheet"
 	"repro/internal/base/xmldoc"
 	"repro/internal/mark"
+	"repro/internal/trim"
 )
 
 const labXML = `<report>
@@ -369,5 +370,64 @@ func TestAccessors(t *testing.T) {
 	f := newFixture(t)
 	if f.app.Marks() == nil || f.app.DMI() == nil {
 		t.Fatal("accessors broken")
+	}
+}
+
+// TestAppSaveWithPersistsMarkRemoval: a mark removed between two SaveWith
+// calls on the WAL backend stays removed when a fresh app recovers the
+// log with LoadWith.
+func TestAppSaveWithPersistsMarkRemoval(t *testing.T) {
+	f := newFixture(t)
+	_, root, _ := f.app.NewPad("Rounds")
+	f.sheets.Open("meds.xls")
+	var ids []string
+	for _, cell := range []string{"A2", "A3"} {
+		r, _ := spreadsheet.ParseRange(cell)
+		f.sheets.SelectRange("Meds", r)
+		scrap, err := f.app.ClipSelection(root.ID(), spreadsheet.Scheme, "", Coordinate{0, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, scrap.MarkHandles()[0].MarkID())
+	}
+	path := filepath.Join(t.TempDir(), "pad.wal")
+	b, err := trim.OpenWAL(f.app.DMI().Store().Trim(), path, trim.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Attaching adopts the in-memory pad; compacting makes it durable.
+	if err := b.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.app.SaveWith(b); err != nil {
+		t.Fatal(err)
+	}
+	if !f.app.Marks().Remove(ids[0]) {
+		t.Fatalf("Remove(%s) = false", ids[0])
+	}
+	if err := f.app.SaveWith(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mm2 := mark.NewManager()
+	mm2.RegisterApplication(f.sheets)
+	app2, err := NewApp(mm2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := trim.OpenBackend(trim.BackendWAL, app2.DMI().Store().Trim(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	if _, err := app2.LoadWith(b2); err != nil {
+		t.Fatal(err)
+	}
+	got := mm2.Marks()
+	if len(got) != 1 || got[0].ID != ids[1] {
+		t.Fatalf("recovered marks = %v, want only %s", got, ids[1])
 	}
 }

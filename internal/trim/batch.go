@@ -120,10 +120,8 @@ func (b *Batch) applyLocked(m *Manager) error {
 	}
 
 	for _, p := range b.removePatterns {
-		for _, t := range m.selectLocked(p) {
-			if m.removeLocked(t) {
-				log = append(log, undo{t: t, readd: true})
-			}
+		for _, t := range m.removeMatchingLocked(p) {
+			log = append(log, undo{t: t, readd: true})
 		}
 	}
 	for _, t := range b.removes {

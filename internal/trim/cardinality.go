@@ -6,51 +6,12 @@ import (
 	"repro/internal/rdf"
 )
 
-// Per-predicate cardinality statistics, maintained incrementally by the
-// two mutation points (createLocked/removeLocked) so they are always
-// exact and cost O(1) per mutation. They answer the planner's question —
-// "how many rows will this pattern touch?" — per predicate instead of
-// store-wide, feed the EXPLAIN estimated-selectivity line, and are the
-// ground-truth input the term-dictionary/index rework (ROADMAP item 1)
-// needs to choose layouts.
-
-// predCard tracks one predicate's live cardinality. The subject/object
-// maps refcount triples per term so removals decrement exactly.
-type predCard struct {
-	triples  int
-	subjects map[rdf.Term]int
-	objects  map[rdf.Term]int
-}
-
-// cardAddLocked records a newly inserted triple.
-func (m *Manager) cardAddLocked(t rdf.Triple) {
-	pc, ok := m.predCards[t.Predicate]
-	if !ok {
-		pc = &predCard{subjects: make(map[rdf.Term]int), objects: make(map[rdf.Term]int)}
-		m.predCards[t.Predicate] = pc
-	}
-	pc.triples++
-	pc.subjects[t.Subject]++
-	pc.objects[t.Object]++
-}
-
-// cardRemoveLocked records a removed triple.
-func (m *Manager) cardRemoveLocked(t rdf.Triple) {
-	pc, ok := m.predCards[t.Predicate]
-	if !ok {
-		return
-	}
-	pc.triples--
-	if pc.subjects[t.Subject]--; pc.subjects[t.Subject] == 0 {
-		delete(pc.subjects, t.Subject)
-	}
-	if pc.objects[t.Object]--; pc.objects[t.Object] == 0 {
-		delete(pc.objects, t.Object)
-	}
-	if pc.triples == 0 {
-		delete(m.predCards, t.Predicate)
-	}
-}
+// Per-predicate cardinality statistics, derived from the layout when they
+// are read: a predicate's triple count is its posting length, and its
+// distinct subjects and objects are counted over that posting list. They
+// answer the planner's question — "how many rows will this pattern
+// touch?" — per predicate instead of store-wide and feed the EXPLAIN
+// estimated-selectivity line. Nothing is maintained on the write path.
 
 // PredicateStats is one predicate's cardinality summary as reported by
 // Stats: how many triples carry it, over how many distinct subjects and
@@ -68,17 +29,19 @@ type PredicateStats struct {
 
 // predicateStatsLocked renders the cardinality table sorted by predicate.
 func (m *Manager) predicateStatsLocked() []PredicateStats {
-	size := m.graph.Len()
-	out := make([]PredicateStats, 0, len(m.predCards))
-	for pred, pc := range m.predCards {
-		ps := PredicateStats{
-			Predicate:        pred.Value(),
-			Triples:          pc.triples,
-			DistinctSubjects: len(pc.subjects),
-			DistinctObjects:  len(pc.objects),
+	size := len(m.tab.rows)
+	seen := m.tab.bitset()
+	out := []PredicateStats{}
+	for id, rows := range m.tab.post[posP] {
+		if len(rows) == 0 {
+			continue
 		}
-		if size > 0 {
-			ps.Selectivity = float64(pc.triples) / float64(size)
+		ps := PredicateStats{
+			Predicate:        m.tab.terms[id].Value(),
+			Triples:          len(rows),
+			DistinctSubjects: m.tab.distinct(rows, posS, seen),
+			DistinctObjects:  m.tab.distinct(rows, posO, seen),
+			Selectivity:      float64(len(rows)) / float64(size),
 		}
 		out = append(out, ps)
 	}
@@ -88,35 +51,36 @@ func (m *Manager) predicateStatsLocked() []PredicateStats {
 
 // estimateLocked is the planner's cardinality estimate for a pattern:
 // expected result rows and their fraction of the store. A bound predicate
-// uses the exact per-predicate stats (triples, scaled down by the mean
+// uses its exact statistics (triples, scaled down by the mean
 // triples-per-subject/object when those positions are bound too); an
-// unbound predicate falls back to the exact index bucket sizes the
-// planner already consults. The estimate is exact for single-position
-// patterns and a uniformity assumption beyond that.
+// unbound predicate falls back to the exact posting lengths the planner
+// already consults. The estimate is exact for single-position patterns
+// and a uniformity assumption beyond that.
 func (m *Manager) estimateLocked(p rdf.Pattern) (rows int, selectivity float64) {
-	size := m.graph.Len()
+	size := len(m.tab.rows)
 	if size == 0 {
 		return 0, 0
 	}
 	est := size
 	if !p.Predicate.IsZero() {
-		pc, ok := m.predCards[p.Predicate]
-		if !ok {
+		list := m.tab.postings(posP, p.Predicate)
+		if len(list) == 0 {
 			return 0, 0
 		}
-		est = pc.triples
-		if !p.Subject.IsZero() && len(pc.subjects) > 0 {
-			est = meanShare(est, len(pc.subjects))
+		est = len(list)
+		seen := m.tab.bitset()
+		if !p.Subject.IsZero() {
+			est = meanShare(est, m.tab.distinct(list, posS, seen))
 		}
-		if !p.Object.IsZero() && len(pc.objects) > 0 {
-			est = meanShare(est, len(pc.objects))
+		if !p.Object.IsZero() {
+			est = meanShare(est, m.tab.distinct(list, posO, seen))
 		}
 	} else {
 		if !p.Subject.IsZero() {
-			est = min(est, len(m.bySubject[p.Subject]))
+			est = min(est, len(m.tab.postings(posS, p.Subject)))
 		}
 		if !p.Object.IsZero() {
-			est = min(est, len(m.byObject[p.Object]))
+			est = min(est, len(m.tab.postings(posO, p.Object)))
 		}
 	}
 	return est, float64(est) / float64(size)

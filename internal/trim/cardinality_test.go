@@ -8,7 +8,7 @@ import (
 )
 
 // cardTruth recomputes the per-predicate cardinality table from scratch
-// and compares it against the incrementally maintained one.
+// and compares it against the one Stats derives from the layout.
 func cardTruth(t *testing.T, m *Manager) {
 	t.Helper()
 	type truth struct {
@@ -16,12 +16,12 @@ func cardTruth(t *testing.T, m *Manager) {
 		subjects map[rdf.Term]struct{}
 		objects  map[rdf.Term]struct{}
 	}
-	want := map[rdf.Term]*truth{}
+	want := map[string]*truth{}
 	m.Snapshot().Each(func(tr rdf.Triple) bool {
-		tw, ok := want[tr.Predicate]
+		tw, ok := want[tr.Predicate.Value()]
 		if !ok {
 			tw = &truth{subjects: map[rdf.Term]struct{}{}, objects: map[rdf.Term]struct{}{}}
-			want[tr.Predicate] = tw
+			want[tr.Predicate.Value()] = tw
 		}
 		tw.triples++
 		tw.subjects[tr.Subject] = struct{}{}
@@ -29,22 +29,31 @@ func cardTruth(t *testing.T, m *Manager) {
 		return true
 	})
 
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.predCards) != len(want) {
-		t.Fatalf("predCards tracks %d predicates, want %d", len(m.predCards), len(want))
+	got := m.Stats().Predicates
+	if len(got) != len(want) {
+		t.Fatalf("stats report %d predicates, want %d", len(got), len(want))
 	}
-	for pred, tw := range want {
-		pc, ok := m.predCards[pred]
+	for _, ps := range got {
+		tw, ok := want[ps.Predicate]
 		if !ok {
-			t.Fatalf("predicate %v missing from predCards", pred)
+			t.Fatalf("stats report absent predicate %s", ps.Predicate)
 		}
-		if pc.triples != tw.triples || len(pc.subjects) != len(tw.subjects) || len(pc.objects) != len(tw.objects) {
-			t.Fatalf("predicate %v: got triples=%d subjects=%d objects=%d, want %d/%d/%d",
-				pred, pc.triples, len(pc.subjects), len(pc.objects),
+		if ps.Triples != tw.triples || ps.DistinctSubjects != len(tw.subjects) || ps.DistinctObjects != len(tw.objects) {
+			t.Fatalf("predicate %s: got triples=%d subjects=%d objects=%d, want %d/%d/%d",
+				ps.Predicate, ps.Triples, ps.DistinctSubjects, ps.DistinctObjects,
 				tw.triples, len(tw.subjects), len(tw.objects))
 		}
 	}
+}
+
+// predStats returns one predicate's row of the Stats table.
+func predStats(m *Manager, pred string) (PredicateStats, bool) {
+	for _, ps := range m.Stats().Predicates {
+		if ps.Predicate == pred {
+			return ps, true
+		}
+	}
+	return PredicateStats{}, false
 }
 
 // TestCardinalityCreateRemove: the stats stay exact through interleaved
@@ -66,13 +75,9 @@ func TestCardinalityCreateRemove(t *testing.T) {
 	m.Create(triples[0]) // duplicate: must not double-count
 	cardTruth(t, m)
 
-	m.mu.RLock()
-	pc := m.predCards[rdf.IRI("http://t/p1")]
-	if pc.triples != 3 || len(pc.subjects) != 2 || len(pc.objects) != 2 {
-		m.mu.RUnlock()
-		t.Fatalf("p1 card = triples=%d subjects=%d objects=%d, want 3/2/2", pc.triples, len(pc.subjects), len(pc.objects))
+	if pc, _ := predStats(m, "http://t/p1"); pc.Triples != 3 || pc.DistinctSubjects != 2 || pc.DistinctObjects != 2 {
+		t.Fatalf("p1 card = triples=%d subjects=%d objects=%d, want 3/2/2", pc.Triples, pc.DistinctSubjects, pc.DistinctObjects)
 	}
-	m.mu.RUnlock()
 
 	m.Remove(triples[1])
 	m.Remove(triples[1]) // absent remove: must not decrement
@@ -81,11 +86,9 @@ func TestCardinalityCreateRemove(t *testing.T) {
 		m.Remove(x)
 	}
 	cardTruth(t, m)
-	m.mu.RLock()
-	if len(m.predCards) != 0 {
-		t.Fatalf("empty store still tracks %d predicates", len(m.predCards))
+	if n := len(m.Stats().Predicates); n != 0 {
+		t.Fatalf("empty store still reports %d predicates", n)
 	}
-	m.mu.RUnlock()
 }
 
 // TestCardinalityBatchAndSetUnique: batch applies and SetUnique go through

@@ -82,36 +82,18 @@ func (e Explain) journal(start time.Time) {
 	}
 }
 
-// selectExplainLocked is the single implementation behind Select and
-// SelectExplain: it runs the planner, scans, and fills every Explain
-// field except Query and WallNS (the caller owns those).
-func (m *Manager) selectExplainLocked(p rdf.Pattern) ([]rdf.Triple, Explain) {
-	bucket, choice := m.chooseIndexLocked(p)
-	choice.count()
-	e := Explain{
-		Op:         "select",
+// explainLocked starts the EXPLAIN of a query that ran under the held
+// lock; the caller adds Query, WallNS, and for selects the estimate.
+func (m *Manager) explainLocked(op string, choice indexChoice, candidates, matched int) Explain {
+	return Explain{
+		Op:         op,
 		Index:      choice.String(),
+		Candidates: candidates,
+		Matched:    matched,
 		Observers:  len(m.observers),
-		StoreSize:  m.graph.Len(),
+		StoreSize:  len(m.tab.rows),
 		Generation: m.generation,
 	}
-	e.EstRows, e.EstSelectivity = m.estimateLocked(p)
-	if choice == indexNone {
-		e.Candidates = m.graph.Len()
-		out := m.graph.Select(p)
-		e.Matched = len(out)
-		return out, e
-	}
-	e.Candidates = len(bucket)
-	var out []rdf.Triple
-	for t := range bucket {
-		if p.Matches(t) {
-			out = append(out, t)
-		}
-	}
-	rdf.SortTriples(out)
-	e.Matched = len(out)
-	return out, e
 }
 
 // SelectExplain is Select plus an execution report. It records the same
@@ -119,7 +101,9 @@ func (m *Manager) selectExplainLocked(p rdf.Pattern) ([]rdf.Triple, Explain) {
 func (m *Manager) SelectExplain(p rdf.Pattern) ([]rdf.Triple, Explain) {
 	start := time.Now()
 	m.mu.RLock()
-	out, e := m.selectExplainLocked(p)
+	out, choice, candidates := m.selectLocked(p)
+	e := m.explainLocked("select", choice, candidates, len(out))
+	e.EstRows, e.EstSelectivity = m.estimateLocked(p)
 	m.mu.RUnlock()
 	e.Query = p.String()
 	e.WallNS = int64(time.Since(start))
@@ -136,7 +120,8 @@ func (m *Manager) SelectExplain(p rdf.Pattern) ([]rdf.Triple, Explain) {
 func (m *Manager) ViewExplain(root rdf.Term) (*rdf.Graph, Explain) {
 	start := time.Now()
 	m.mu.RLock()
-	out, e := m.viewExplainLocked(root, nil)
+	out, candidates := m.viewLocked(root, nil)
+	e := m.explainLocked("view", indexSubject, candidates, out.Len())
 	m.mu.RUnlock()
 	e.Query = root.String()
 	e.WallNS = int64(time.Since(start))
@@ -152,22 +137,9 @@ func (m *Manager) ViewExplain(root rdf.Term) (*rdf.Graph, Explain) {
 func (m *Manager) PathExplain(start []rdf.Term, predicates ...rdf.Term) ([]rdf.Term, Explain) {
 	began := time.Now()
 	m.mu.RLock()
-	out, e := m.pathExplainLocked(start, predicates)
+	out, candidates := m.pathLocked(start, predicates)
+	e := m.explainLocked("path", indexSubject, candidates, len(out))
 	m.mu.RUnlock()
-	e.WallNS = int64(time.Since(began))
-	recordPathShape(predicates, false)
-	e.journal(began)
-	return out, e
-}
-
-func (m *Manager) pathExplainLocked(start []rdf.Term, predicates []rdf.Term) ([]rdf.Term, Explain) {
-	e := Explain{
-		Op:         "path",
-		Index:      indexSubject.String(),
-		Observers:  len(m.observers),
-		StoreSize:  m.graph.Len(),
-		Generation: m.generation,
-	}
 	var q string
 	for _, s := range start {
 		q += s.String() + " "
@@ -179,33 +151,8 @@ func (m *Manager) pathExplainLocked(start []rdf.Term, predicates []rdf.Term) ([]
 		q += p.String()
 	}
 	e.Query = q
-
-	frontier := make(map[rdf.Term]struct{}, len(start))
-	for _, s := range start {
-		if s.IsResource() {
-			frontier[s] = struct{}{}
-		}
-	}
-	for _, pred := range predicates {
-		next := make(map[rdf.Term]struct{})
-		for node := range frontier {
-			for t := range m.bySubject[node] {
-				e.Candidates++
-				if t.Predicate == pred {
-					next[t.Object] = struct{}{}
-				}
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	out := make([]rdf.Term, 0, len(frontier))
-	for t := range frontier {
-		out = append(out, t)
-	}
-	sortTerms(out)
-	e.Matched = len(out)
+	e.WallNS = int64(time.Since(began))
+	recordPathShape(predicates, false)
+	e.journal(began)
 	return out, e
 }

@@ -250,7 +250,7 @@ func agree(t *testing.T, step int, desc string, m *Manager, model *refModel, got
 	for _, x := range model.ts {
 		want[x.Subject], want[x.Predicate], want[x.Object] = struct{}{}, struct{}{}, struct{}{}
 	}
-	have := storedTerms(m)
+	have := storedTerms(t, m)
 	if len(have) != len(want) {
 		t.Fatalf("step %d %s: store holds %d term(s), live rows use %d", step, desc, len(have), len(want))
 	}
@@ -272,18 +272,23 @@ func sameTriples(t *testing.T, step int, desc string, got, want []rdf.Triple) {
 }
 
 // storedTerms is the white-box view of the terms the store keeps: the
-// keys of its three per-position indexes.
-func storedTerms(m *Manager) map[rdf.Term]struct{} {
+// dictionary, which must agree with its reverse map and free list.
+func storedTerms(t *testing.T, m *Manager) map[rdf.Term]struct{} {
+	t.Helper()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := map[rdf.Term]struct{}{}
-	for _, idx := range []map[rdf.Term]map[rdf.Triple]struct{}{m.bySubject, m.byPredicate, m.byObject} {
-		for term := range idx {
-			out[term] = struct{}{}
+	for id, term := range m.tab.terms {
+		if term.IsZero() {
+			continue
 		}
-	}
-	for term := range m.predCards {
+		if got, ok := m.tab.ids[term]; !ok || got != uint32(id) {
+			t.Fatalf("dictionary: term %v at id %d maps back to %d (%v)", term, id, got, ok)
+		}
 		out[term] = struct{}{}
+	}
+	if len(out) != len(m.tab.ids) || len(out)+len(m.tab.free) != len(m.tab.terms) {
+		t.Fatalf("dictionary: %d live id(s), %d mapped term(s), %d free of %d", len(out), len(m.tab.ids), len(m.tab.free), len(m.tab.terms))
 	}
 	return out
 }

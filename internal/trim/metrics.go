@@ -27,14 +27,13 @@ var (
 	gSpaceStringBytes    = obs.G(obs.NameTrimSpaceStringBytes)
 	gSpaceUniqueBytes    = obs.G(obs.NameTrimSpaceUniqueBytes)
 	gSpaceDupPct         = obs.G(obs.NameTrimSpaceDupPct)
-	gSpaceInterningSaved = obs.G(obs.NameTrimSpaceInterningSaved)
 
 	// Alloc-per-op probe harness (probe.go).
 	mProbeTotal = obs.C(obs.NameTrimProbeTotal)
 	mProbeNS    = obs.H(obs.NameTrimProbeNS)
 
 	// Index-choice counters quantify the query planner: which position's
-	// hash index served a pattern, or whether a full scan was needed.
+	// posting list served a pattern, or whether a full scan was needed.
 	mIdxSubject   = obs.C(obs.NameTrimIndexSubject)
 	mIdxPredicate = obs.C(obs.NameTrimIndexPredicate)
 	mIdxObject    = obs.C(obs.NameTrimIndexObject)

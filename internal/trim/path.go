@@ -1,6 +1,8 @@
 package trim
 
 import (
+	"slices"
+
 	"repro/internal/rdf"
 )
 
@@ -17,32 +19,7 @@ func (m *Manager) Path(start []rdf.Term, predicates ...rdf.Term) []rdf.Term {
 	recordPathShape(predicates, false)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-
-	frontier := make(map[rdf.Term]struct{}, len(start))
-	for _, s := range start {
-		if s.IsResource() {
-			frontier[s] = struct{}{}
-		}
-	}
-	for _, pred := range predicates {
-		next := make(map[rdf.Term]struct{})
-		for node := range frontier {
-			for t := range m.bySubject[node] {
-				if t.Predicate == pred {
-					next[t.Object] = struct{}{}
-				}
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	out := make([]rdf.Term, 0, len(frontier))
-	for t := range frontier {
-		out = append(out, t)
-	}
-	sortTerms(out)
+	out, _ := m.pathLocked(start, predicates)
 	return out
 }
 
@@ -52,17 +29,47 @@ func (m *Manager) PathInverse(start []rdf.Term, predicates ...rdf.Term) []rdf.Te
 	recordPathShape(predicates, true)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	out, _ := m.walkLocked(start, predicates, posO, posS)
+	return out
+}
 
-	frontier := make(map[rdf.Term]struct{}, len(start))
+// pathLocked is the forward walk behind Path and PathExplain; only
+// resource starts take part.
+func (m *Manager) pathLocked(start, predicates []rdf.Term) ([]rdf.Term, int) {
+	resources := make([]rdf.Term, 0, len(start))
 	for _, s := range start {
-		frontier[s] = struct{}{}
+		if s.IsResource() {
+			resources = append(resources, s)
+		}
 	}
+	return m.walkLocked(resources, predicates, posS, posO)
+}
+
+// walkLocked follows each predicate from the frontier's terms at position
+// from to the terms at position to, returning the sorted terms reached
+// and the number of edges examined.
+func (m *Manager) walkLocked(start, predicates []rdf.Term, from, to int) ([]rdf.Term, int) {
+	if len(predicates) == 0 {
+		out := append(make([]rdf.Term, 0, len(start)), start...)
+		sortTerms(out)
+		return slices.Compact(out), 0
+	}
+	frontier := make(map[uint32]struct{}, len(start))
+	for _, s := range start {
+		if id, ok := m.tab.ids[s]; ok {
+			frontier[id] = struct{}{}
+		}
+	}
+	candidates := 0
 	for _, pred := range predicates {
-		next := make(map[rdf.Term]struct{})
+		pid, known := m.tab.ids[pred]
+		next := make(map[uint32]struct{})
 		for node := range frontier {
-			for t := range m.byObject[node] {
-				if t.Predicate == pred {
-					next[t.Subject] = struct{}{}
+			list := m.tab.post[from][node]
+			candidates += len(list)
+			for _, r := range list {
+				if ids := m.tab.rows[r].ids; known && ids[posP] == pid {
+					next[ids[to]] = struct{}{}
 				}
 			}
 		}
@@ -72,9 +79,9 @@ func (m *Manager) PathInverse(start []rdf.Term, predicates ...rdf.Term) []rdf.Te
 		}
 	}
 	out := make([]rdf.Term, 0, len(frontier))
-	for t := range frontier {
-		out = append(out, t)
+	for id := range frontier {
+		out = append(out, m.tab.terms[id])
 	}
 	sortTerms(out)
-	return out
+	return out, candidates
 }

@@ -12,9 +12,8 @@ import (
 
 // The alloc-per-op probe harness: benchmark-style allocs/op and B/op
 // measurements for the heavy-hitter query shapes, run against the live
-// store instead of a synthetic fixture. ROADMAP item 1 promises a
-// near-zero-alloc query path; these probes are the numbers that promise
-// is scored against, and `trimq space -probe` makes them a one-command
+// store instead of a synthetic fixture. They score the query path's
+// allocation cost, and `trimq space -probe` makes them a one-command
 // check on any persisted store. Each probe runs under a trace span whose
 // detail is the result line, so a -serve'd store journals its own
 // allocation profile.
@@ -48,27 +47,25 @@ func (r ProbeResult) String() string {
 func (m *Manager) probeExemplars() (subject, predicate, object rdf.Term, exact rdf.Triple, ok bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.graph.Len() == 0 {
+	if len(m.tab.rows) == 0 {
 		return rdf.Zero, rdf.Zero, rdf.Zero, rdf.Triple{}, false
 	}
-	heaviest := func(idx map[rdf.Term]map[rdf.Triple]struct{}) rdf.Term {
-		best := rdf.Zero
+	heaviest := func(k int) (best rdf.Term, bestID uint32) {
 		bestLen := -1
-		for term, set := range idx {
-			if len(set) > bestLen || (len(set) == bestLen && term.Compare(best) < 0) {
-				best, bestLen = term, len(set)
+		for id, rows := range m.tab.post[k] {
+			term := m.tab.terms[id]
+			if len(rows) > 0 && (len(rows) > bestLen || (len(rows) == bestLen && term.Compare(best) < 0)) {
+				best, bestID, bestLen = term, uint32(id), len(rows)
 			}
 		}
-		return best
+		return best, bestID
 	}
-	subject = heaviest(m.bySubject)
-	predicate = heaviest(m.byPredicate)
-	object = heaviest(m.byObject)
-	first := true
-	for t := range m.byPredicate[predicate] {
-		if first || t.Compare(exact) < 0 {
+	subject, _ = heaviest(posS)
+	predicate, pid := heaviest(posP)
+	object, _ = heaviest(posO)
+	for i, r := range m.tab.post[posP][pid] {
+		if t := m.tab.triple(r); i == 0 || t.Compare(exact) < 0 {
 			exact = t
-			first = false
 		}
 	}
 	return subject, predicate, object, exact, true

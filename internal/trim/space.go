@@ -7,53 +7,31 @@ import (
 	"repro/internal/rdf"
 )
 
-// The deep space accountant: where the store's bytes actually go, walked
-// exactly under the read lock. Stats.ApproxBytes has always summed term
-// text as a portable proxy for the paper's §6 space trade-off; this file
-// breaks that figure down far enough to act on — total vs unique string
-// bytes per triple position, the hash-index overhead the three
-// per-position indexes add on top, per-predicate byte attribution joined
-// with the PR 6 cardinality table, and the projected win of the uint32
-// term dictionary (ROADMAP item 1), so the dictionary PR lands against a
-// measured baseline instead of a guess.
+// The deep space accountant: where the store's bytes go. Stats.ApproxBytes
+// has always summed term text as a portable proxy for the paper's §6
+// space trade-off; this file breaks that figure down far enough to act on
+// — total vs unique string bytes per triple position, per-predicate byte
+// attribution — and reports the bytes the interned layout (layout.go)
+// holds: the dictionary, the rows with their presence map, and the
+// posting lists.
 //
-// All overhead figures are estimates from the map-geometry model below
-// (Go does not expose per-map footprints); the string-byte figures are
-// exact sums over the live graph.
+// Slices are counted at their capacity. Go does not expose a map's
+// footprint, so each map is counted at its live entries times key plus
+// value size; bucket slack above that is not included.
 
-// Word and header sizes of the 64-bit memory model the estimates assume.
+// Sizes of the 64-bit memory model the byte counts assume.
 const (
 	wordBytes         = 8
 	stringHeaderBytes = 2 * wordBytes                   // pointer + length
 	termBytes         = wordBytes + 2*stringHeaderBytes // kind word + value/dtype headers = 40
-	tripleBytes       = 3 * termBytes                   // = 120
 	sliceHeaderBytes  = 3 * wordBytes                   // pointer + len + cap
+	idBytes           = 4                               // one uint32 term or row id
+	rowBytes          = 6 * idBytes                     // three ids + three posting slots
 )
-
-// mapBytes estimates the resident footprint of a Go map holding n entries
-// of the given key+value size: the hmap header plus power-of-two buckets
-// sized for the 6.5 load factor, each bucket holding 8 slots (tophash
-// byte per slot, then keys, then values) and an overflow pointer.
-// Overflow buckets are ignored, so this is a slight underestimate for
-// maps with clustered hashes.
-func mapBytes(n, kvBytes int) int64 {
-	if n == 0 {
-		return 0
-	}
-	const hmapHeaderBytes = 48 // runtime.hmap: count, flags/B/noverflow/hash0, buckets, oldbuckets, nevacuate, extra
-	buckets := 1
-	for float64(n) > 6.5*float64(buckets) {
-		buckets *= 2
-	}
-	perBucket := int64(8 + 8*kvBytes + wordBytes) // 8 tophash bytes + 8 kv slots + overflow pointer
-	return hmapHeaderBytes + int64(buckets)*perBucket
-}
 
 // PositionSpace is the string-byte accounting of one triple position:
 // how many term references the position holds, how many distinct terms
-// they collapse to, and the byte sums of both views. TotalBytes minus
-// UniqueBytes is exactly what interning this position would save in
-// string data.
+// they collapse to, and the byte sums of both views.
 type PositionSpace struct {
 	Refs        int   `json:"refs"`
 	Unique      int   `json:"unique"`
@@ -61,20 +39,9 @@ type PositionSpace struct {
 	UniqueBytes int64 `json:"unique_bytes"`
 }
 
-// IndexSpace is one hash index's estimated overhead: the outer map
-// (term -> set pointer), plus every inner triple set with its 120-byte
-// triple-struct keys and bucket metadata.
-type IndexSpace struct {
-	Name          string `json:"name"`
-	Buckets       int    `json:"buckets"`
-	Entries       int    `json:"entries"`
-	OverheadBytes int64  `json:"overhead_bytes"`
-}
-
 // PredicateSpace attributes string bytes to one predicate: the bytes of
-// every triple carrying it (all three positions, total view), joined with
-// the cardinality table's exact triple count. Share is the fraction of
-// the store's total string bytes.
+// every triple carrying it (all three positions, total view), with its
+// triple count. Share is the fraction of the store's total string bytes.
 type PredicateSpace struct {
 	Predicate  string  `json:"predicate"`
 	Triples    int     `json:"triples"`
@@ -82,24 +49,17 @@ type PredicateSpace struct {
 	Share      float64 `json:"share"`
 }
 
-// InterningProjection is the measured business case for ROADMAP item 1:
-// what the store would cost if every distinct term were interned to a
-// uint32 id — one string copy per distinct term in a dictionary, 12-byte
-// triples, and uint32 index postings instead of 120-byte triple keys.
-type InterningProjection struct {
-	// DictionaryBytes: unique string data + an id->term table (string
-	// headers) + a term->id lookup map.
+// LayoutBytes is what the interned layout holds, in three parts.
+type LayoutBytes struct {
+	// DictionaryBytes: the unique string data, the id -> term table, the
+	// term -> id map, and the free-id list.
 	DictionaryBytes int64 `json:"dictionary_bytes"`
-	// TripleBytes: triples at 3 uint32 ids each.
+	// TripleBytes: the rows (three term ids and three posting slots each)
+	// and the presence map from id triple to row.
 	TripleBytes int64 `json:"triple_bytes"`
-	// IndexBytes: three postings layouts at one uint32 triple ref per
-	// entry plus a slice header per distinct key.
+	// IndexBytes: the posting lists, one per term per position, with
+	// their slice headers.
 	IndexBytes int64 `json:"index_bytes"`
-	// ProjectedBytes is the dictionary-store total; SavedBytes and Factor
-	// compare it against the current EstimatedBytes.
-	ProjectedBytes int64   `json:"projected_bytes"`
-	SavedBytes     int64   `json:"saved_bytes"`
-	Factor         float64 `json:"factor"`
 }
 
 // SpaceStats is the deep space report for the store, produced by
@@ -110,9 +70,9 @@ type SpaceStats struct {
 	Generation uint64 `json:"generation"`
 
 	// Per-position string accounting and the store-wide roll-up.
-	// UniqueStringBytes dedupes terms across all three positions — the
-	// figure a single shared dictionary would store — so it can be
-	// smaller than the sum of the per-position unique bytes.
+	// UniqueStringBytes dedupes terms across all three positions — what
+	// the dictionary stores — so it can be smaller than the sum of the
+	// per-position unique bytes.
 	Subject           PositionSpace `json:"subject"`
 	Predicate         PositionSpace `json:"predicate"`
 	Object            PositionSpace `json:"object"`
@@ -120,37 +80,24 @@ type SpaceStats struct {
 	UniqueStringBytes int64         `json:"unique_string_bytes"`
 	UniqueTerms       int           `json:"unique_terms"`
 	// DuplicationRatio is total over unique string bytes: how many times
-	// the average string byte is stored. 1.0 means no duplication.
+	// the average string byte is referenced by triples. 1.0 means no
+	// sharing; the dictionary stores each string once regardless.
 	DuplicationRatio float64 `json:"duplication_ratio"`
 
-	// Struct and index overhead estimates. GraphBytes covers the ground-
-	// truth triple set (its 120-byte triple keys and map buckets); each
-	// index stores its own triple-key copies, so a stored triple costs
-	// four struct copies before any string data.
-	GraphBytes         int64        `json:"graph_bytes"`
-	Indexes            []IndexSpace `json:"indexes"`
-	IndexOverheadBytes int64        `json:"index_overhead_bytes"`
-	// CardOverheadBytes is the per-predicate cardinality table
-	// (refcounted subject/object maps).
-	CardOverheadBytes int64 `json:"card_overhead_bytes"`
-
-	// EstimatedBytes is the resident-store estimate: graph + indexes +
-	// cardinality overhead + one string-data copy per term reference
-	// (term structs in map keys share string backings with each other,
-	// but distinct parses of equal strings do not, so the total view is
-	// the honest upper bound the duplication ratio discounts).
-	EstimatedBytes int64   `json:"estimated_bytes"`
+	// StoreBytes is the layout's footprint, the sum of Interning's parts.
+	StoreBytes     int64   `json:"store_bytes"`
 	BytesPerTriple float64 `json:"bytes_per_triple"`
 
 	// Predicates attributes string bytes per predicate, heaviest first.
 	Predicates []PredicateSpace `json:"predicates"`
 
-	// Interning is the projected dictionary-store cost (ROADMAP item 1).
-	Interning InterningProjection `json:"interning"`
+	// Interning breaks StoreBytes down into dictionary, rows, and
+	// postings.
+	Interning LayoutBytes `json:"interning"`
 }
 
-// Space computes the deep space report in one pass under the read lock
-// and republishes the trim.space.* gauges.
+// Space computes the deep space report under the read lock and
+// republishes the trim.space.* gauges.
 func (m *Manager) Space() SpaceStats {
 	m.mu.RLock()
 	s := m.spaceLocked()
@@ -160,7 +107,6 @@ func (m *Manager) Space() SpaceStats {
 	gSpaceUniqueBytes.Set(s.UniqueStringBytes)
 	gSpaceBytesPerTriple.Set(int64(s.BytesPerTriple))
 	gSpaceDupPct.Set(int64(s.DuplicationRatio * 100))
-	gSpaceInterningSaved.Set(s.Interning.SavedBytes)
 	return s
 }
 
@@ -170,88 +116,62 @@ func termStringBytes(t rdf.Term) int64 {
 	return int64(len(t.Value()) + len(t.Datatype()))
 }
 
-// spaceLocked walks the graph, indexes, and cardinality table under the
+// spaceLocked walks the dictionary and the predicate postings under the
 // held lock and assembles the report.
 func (m *Manager) spaceLocked() SpaceStats {
+	l := &m.tab
 	s := SpaceStats{
-		Triples:    m.graph.Len(),
-		Generation: m.generation,
+		Triples:     len(l.rows),
+		Generation:  m.generation,
+		UniqueTerms: len(l.ids),
+		Predicates:  []PredicateSpace{},
 	}
-
-	seenAll := make(map[rdf.Term]struct{})
-	perPred := make(map[rdf.Term]int64, len(m.predCards))
 	positions := [3]*PositionSpace{&s.Subject, &s.Predicate, &s.Object}
-	seenPos := [3]map[rdf.Term]struct{}{
-		make(map[rdf.Term]struct{}),
-		make(map[rdf.Term]struct{}),
-		make(map[rdf.Term]struct{}),
-	}
-	m.graph.Each(func(t rdf.Triple) bool {
-		for i, term := range [3]rdf.Term{t.Subject, t.Predicate, t.Object} {
-			b := termStringBytes(term)
-			p := positions[i]
-			p.Refs++
-			p.TotalBytes += b
-			if _, ok := seenPos[i][term]; !ok {
-				seenPos[i][term] = struct{}{}
-				p.Unique++
-				p.UniqueBytes += b
-			}
-			if _, ok := seenAll[term]; !ok {
-				seenAll[term] = struct{}{}
-				s.UniqueStringBytes += b
-			}
-			perPred[t.Predicate] += b
+	in := &s.Interning
+	for id, t := range l.terms {
+		b := termStringBytes(t)
+		if l.refs(uint32(id)) > 0 {
+			s.UniqueStringBytes += b
 		}
-		return true
-	})
-	s.UniqueTerms = len(seenAll)
+		for k, p := range positions {
+			refs := len(l.post[k][id])
+			in.IndexBytes += int64(cap(l.post[k][id])) * idBytes
+			if refs == 0 {
+				continue
+			}
+			p.Refs += refs
+			p.Unique++
+			p.TotalBytes += b * int64(refs)
+			p.UniqueBytes += b
+		}
+	}
 	s.TotalStringBytes = s.Subject.TotalBytes + s.Predicate.TotalBytes + s.Object.TotalBytes
 	if s.UniqueStringBytes > 0 {
 		s.DuplicationRatio = float64(s.TotalStringBytes) / float64(s.UniqueStringBytes)
 	}
 
-	s.GraphBytes = mapBytes(s.Triples, tripleBytes)
-	indexes := []struct {
-		name string
-		idx  map[rdf.Term]map[rdf.Triple]struct{}
-	}{
-		{"spo", m.bySubject},
-		{"pos", m.byPredicate},
-		{"osp", m.byObject},
+	in.DictionaryBytes = s.UniqueStringBytes + int64(cap(l.terms))*termBytes +
+		int64(len(l.ids))*(termBytes+idBytes) + int64(cap(l.free))*idBytes
+	in.TripleBytes = int64(cap(l.rows))*rowBytes + int64(len(l.index))*(3*idBytes+idBytes)
+	for k := range l.post {
+		in.IndexBytes += int64(cap(l.post[k])) * sliceHeaderBytes
 	}
-	for _, ix := range indexes {
-		is := IndexSpace{Name: ix.name, Buckets: len(ix.idx)}
-		is.OverheadBytes = mapBytes(len(ix.idx), termBytes+wordBytes) // outer: term key -> set pointer
-		for _, set := range ix.idx {
-			is.Entries += len(set)
-			is.OverheadBytes += mapBytes(len(set), tripleBytes)
-		}
-		s.Indexes = append(s.Indexes, is)
-		s.IndexOverheadBytes += is.OverheadBytes
-	}
-
-	s.CardOverheadBytes = mapBytes(len(m.predCards), termBytes+wordBytes)
-	for _, pc := range m.predCards {
-		s.CardOverheadBytes += wordBytes + 3*wordBytes // predCard struct (int + 2 map pointers, padded)
-		s.CardOverheadBytes += mapBytes(len(pc.subjects), termBytes+wordBytes)
-		s.CardOverheadBytes += mapBytes(len(pc.objects), termBytes+wordBytes)
-	}
-
-	s.EstimatedBytes = s.GraphBytes + s.IndexOverheadBytes + s.CardOverheadBytes + s.TotalStringBytes
+	s.StoreBytes = in.DictionaryBytes + in.TripleBytes + in.IndexBytes
 	if s.Triples > 0 {
-		s.BytesPerTriple = float64(s.EstimatedBytes) / float64(s.Triples)
+		s.BytesPerTriple = float64(s.StoreBytes) / float64(s.Triples)
 	}
 
-	s.Predicates = make([]PredicateSpace, 0, len(perPred))
-	for pred, bytes := range perPred {
-		ps := PredicateSpace{Predicate: pred.Value(), TotalBytes: bytes}
-		if pc, ok := m.predCards[pred]; ok {
-			ps.Triples = pc.triples
+	for id, rows := range l.post[posP] {
+		if len(rows) == 0 {
+			continue
 		}
-		if s.TotalStringBytes > 0 {
-			ps.Share = float64(bytes) / float64(s.TotalStringBytes)
+		ps := PredicateSpace{Predicate: l.terms[id].Value(), Triples: len(rows)}
+		for _, r := range rows {
+			for _, tid := range l.rows[r].ids {
+				ps.TotalBytes += termStringBytes(l.terms[tid])
+			}
 		}
+		ps.Share = float64(ps.TotalBytes) / float64(s.TotalStringBytes)
 		s.Predicates = append(s.Predicates, ps)
 	}
 	sort.Slice(s.Predicates, func(i, j int) bool {
@@ -260,37 +180,14 @@ func (m *Manager) spaceLocked() SpaceStats {
 		}
 		return s.Predicates[i].Predicate < s.Predicates[j].Predicate
 	})
-
-	s.Interning = m.interningLocked(s)
 	return s
-}
-
-// interningLocked projects the store's cost under the ROADMAP item-1
-// dictionary design: distinct terms interned to uint32 ids, triples as
-// [3]uint32, and each index as per-key uint32 postings lists.
-func (m *Manager) interningLocked(s SpaceStats) InterningProjection {
-	p := InterningProjection{
-		DictionaryBytes: s.UniqueStringBytes +
-			int64(s.UniqueTerms)*(stringHeaderBytes+4) + // id -> term table
-			mapBytes(s.UniqueTerms, stringHeaderBytes+4), // term -> id lookup
-		TripleBytes: int64(s.Triples) * 12,
-	}
-	for _, ix := range s.Indexes {
-		p.IndexBytes += int64(ix.Entries)*4 + int64(ix.Buckets)*sliceHeaderBytes
-	}
-	p.ProjectedBytes = p.DictionaryBytes + p.TripleBytes + p.IndexBytes
-	p.SavedBytes = s.EstimatedBytes - p.ProjectedBytes
-	if p.ProjectedBytes > 0 {
-		p.Factor = float64(s.EstimatedBytes) / float64(p.ProjectedBytes)
-	}
-	return p
 }
 
 // String renders the headline numbers in one line; the JSON form carries
 // the full breakdown.
 func (s SpaceStats) String() string {
-	return fmt.Sprintf("triples=%d est_bytes=%d bytes/triple=%.1f string_bytes=%d unique_bytes=%d dup=%.2fx index_overhead=%d interning_projected=%d (%.1fx smaller)",
-		s.Triples, s.EstimatedBytes, s.BytesPerTriple,
+	return fmt.Sprintf("triples=%d store_bytes=%d bytes/triple=%.1f string_bytes=%d unique_bytes=%d dup=%.2fx dictionary=%d rows=%d postings=%d",
+		s.Triples, s.StoreBytes, s.BytesPerTriple,
 		s.TotalStringBytes, s.UniqueStringBytes, s.DuplicationRatio,
-		s.IndexOverheadBytes, s.Interning.ProjectedBytes, s.Interning.Factor)
+		s.Interning.DictionaryBytes, s.Interning.TripleBytes, s.Interning.IndexBytes)
 }

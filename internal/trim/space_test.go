@@ -58,11 +58,6 @@ func checkSpaceTruth(t *testing.T, m *Manager, step string) {
 	if perPred != total {
 		t.Errorf("%s: predicate attribution sums to %d, want %d", step, perPred, total)
 	}
-	for _, ix := range s.Indexes {
-		if ix.Entries != s.Triples {
-			t.Errorf("%s: index %s has %d entries, want %d", step, ix.Name, ix.Entries, s.Triples)
-		}
-	}
 	if unique > 0 {
 		want := float64(total) / float64(unique)
 		if math.Abs(s.DuplicationRatio-want) > 1e-9 {
@@ -71,15 +66,18 @@ func checkSpaceTruth(t *testing.T, m *Manager, step string) {
 	} else if s.DuplicationRatio != 0 {
 		t.Errorf("%s: DuplicationRatio = %v on empty store", step, s.DuplicationRatio)
 	}
-	if got := s.GraphBytes + s.IndexOverheadBytes + s.CardOverheadBytes + s.TotalStringBytes; got != s.EstimatedBytes {
-		t.Errorf("%s: EstimatedBytes = %d, components sum to %d", step, s.EstimatedBytes, got)
-	}
 	in := s.Interning
-	if got := in.DictionaryBytes + in.TripleBytes + in.IndexBytes; got != in.ProjectedBytes {
-		t.Errorf("%s: ProjectedBytes = %d, components sum to %d", step, in.ProjectedBytes, got)
+	if got := in.DictionaryBytes + in.TripleBytes + in.IndexBytes; got != s.StoreBytes {
+		t.Errorf("%s: StoreBytes = %d, parts sum to %d", step, s.StoreBytes, got)
 	}
-	if in.SavedBytes != s.EstimatedBytes-in.ProjectedBytes {
-		t.Errorf("%s: SavedBytes = %d, want %d", step, in.SavedBytes, s.EstimatedBytes-in.ProjectedBytes)
+	// Every row holds three ids and three slots, sits in the presence map,
+	// and appears in three posting lists; the dictionary holds each
+	// unique string once.
+	if n := int64(s.Triples); in.TripleBytes < n*(rowBytes+4*idBytes) || in.IndexBytes < 3*n*idBytes {
+		t.Errorf("%s: rows %d / postings %d byte(s) too small for %d triple(s)", step, in.TripleBytes, in.IndexBytes, n)
+	}
+	if in.DictionaryBytes < unique+int64(uniqueTerms)*termBytes {
+		t.Errorf("%s: dictionary %d byte(s) < %d unique string byte(s) + %d term(s)", step, in.DictionaryBytes, unique, uniqueTerms)
 	}
 }
 
@@ -128,7 +126,7 @@ func TestSpaceTruthAcrossMutations(t *testing.T) {
 // TestSpaceDuplicationAndInterning pins the headline semantics on a
 // store built to share strings: the duplication ratio reflects the
 // sharing, the unique roll-up dedupes across positions, and the
-// projection actually projects a smaller store.
+// dictionary stores each string once.
 func TestSpaceDuplicationAndInterning(t *testing.T) {
 	m := NewManager()
 	// One predicate and one object shared by every triple; subjects unique.
@@ -147,15 +145,16 @@ func TestSpaceDuplicationAndInterning(t *testing.T) {
 	if want := s.Subject.Unique + 2; s.UniqueTerms != want {
 		t.Fatalf("UniqueTerms = %d, want %d", s.UniqueTerms, want)
 	}
-	if s.Interning.ProjectedBytes >= s.EstimatedBytes {
-		t.Fatalf("interning projects %d bytes, not smaller than current %d",
-			s.Interning.ProjectedBytes, s.EstimatedBytes)
-	}
-	if s.Interning.Factor <= 1 {
-		t.Fatalf("interning Factor = %v, want > 1", s.Interning.Factor)
-	}
 	if s.BytesPerTriple <= 0 {
 		t.Fatalf("BytesPerTriple = %v, want > 0", s.BytesPerTriple)
+	}
+	// A triple built only from stored terms adds references, not
+	// dictionary bytes: interning stores each string once.
+	dict := s.Interning.DictionaryBytes
+	m.Create(link("subject-with-a-long-iri-a", "sharedPredicate", "subject-with-a-long-iri-b"))
+	s = m.Space()
+	if s.Interning.DictionaryBytes != dict {
+		t.Fatalf("DictionaryBytes %d -> %d for a triple of known terms", dict, s.Interning.DictionaryBytes)
 	}
 	// A term dedupes across positions: reuse a subject IRI as an object.
 	m.Create(link("x", "sharedPredicate", "subject-with-a-long-iri-a"))
@@ -183,25 +182,5 @@ func TestStatsCarriesSpace(t *testing.T) {
 	}
 	if st.Space.String() == "" {
 		t.Fatal("SpaceStats.String is empty")
-	}
-}
-
-// TestMapBytesModel pins the estimator's shape: zero for empty maps,
-// monotone in entry count, and super-linear past each bucket doubling.
-func TestMapBytesModel(t *testing.T) {
-	if got := mapBytes(0, tripleBytes); got != 0 {
-		t.Fatalf("mapBytes(0) = %d, want 0", got)
-	}
-	prev := int64(0)
-	for _, n := range []int{1, 8, 13, 52, 100, 1000} {
-		got := mapBytes(n, tripleBytes)
-		if got < prev {
-			t.Fatalf("mapBytes(%d) = %d, smaller than a smaller map (%d)", n, got, prev)
-		}
-		prev = got
-	}
-	// 13 entries exceed one bucket's 6.5 load target: two buckets minimum.
-	if one, two := mapBytes(6, 8), mapBytes(13, 8); two <= one {
-		t.Fatalf("mapBytes(13) = %d, want > mapBytes(6) = %d (bucket doubling)", two, one)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/rdf"
 )
 
 // Stats summarizes the contents of the store, used by cmd/trimq and the
@@ -22,18 +21,18 @@ type Stats struct {
 	// "space efficiency" trade-off discussion (§6).
 	ApproxBytes int `json:"approx_bytes"`
 	// IndexSPO/IndexPOS/IndexOSP are the total entry counts of the
-	// subject-, predicate-, and object-keyed hash indexes (each entry is
-	// one triple in one bucket), matching what the trim.index.* metrics
-	// expose. In a consistent store each equals Triples.
+	// subject, predicate, and object posting lists (each entry is one
+	// triple in one term's list). In a consistent store each equals
+	// Triples.
 	IndexSPO int `json:"index_spo"`
 	IndexPOS int `json:"index_pos"`
 	IndexOSP int `json:"index_osp"`
 	// Generation is the store's mutation counter at the time of the call.
 	Generation uint64 `json:"generation"`
 	// Predicates is the per-predicate cardinality table (triples, distinct
-	// subjects/objects, selectivity), sorted by predicate. Maintained
-	// incrementally, so reporting it here costs one pass over the
-	// predicates, not over the triples.
+	// subjects/objects, selectivity), sorted by predicate. Triple counts
+	// are posting lengths; the distinct counts walk each predicate's
+	// posting list once.
 	Predicates []PredicateStats `json:"predicates"`
 	// Locks is the contention profile of the store mutex (wait/hold
 	// quantiles, acquisition and contended counts per mode), taken from
@@ -41,45 +40,39 @@ type Stats struct {
 	// registered under the store's name yet.
 	Locks []obs.LockStats `json:"locks,omitempty"`
 	// Space is the deep space accountant's report (space.go): string-byte
-	// duplication, index overhead, per-predicate byte attribution, and the
-	// projected interning win, computed in the same locked pass.
+	// duplication, per-predicate byte attribution, and the bytes the
+	// layout uses, computed under the same lock.
 	Space SpaceStats `json:"space"`
 }
 
-// Stats computes current statistics in one pass under a read lock.
+// Stats computes current statistics in one pass over the dictionary
+// under a read lock; only the per-predicate distinct counts walk rows.
 func (m *Manager) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 
 	mStatsTotal.Inc()
 	s := Stats{
-		Triples:            m.graph.Len(),
-		DistinctSubjects:   len(m.bySubject),
-		DistinctPredicates: len(m.byPredicate),
-		DistinctObjects:    len(m.byObject),
-		Generation:         m.generation,
-		Predicates:         m.predicateStatsLocked(),
-		Space:              m.spaceLocked(),
+		Triples:    len(m.tab.rows),
+		Generation: m.generation,
+		Predicates: m.predicateStatsLocked(),
+		Space:      m.spaceLocked(),
 	}
-	for _, set := range m.bySubject {
-		s.IndexSPO += len(set)
-	}
-	for _, set := range m.byPredicate {
-		s.IndexPOS += len(set)
-	}
-	for _, set := range m.byObject {
-		s.IndexOSP += len(set)
-	}
-	m.graph.Each(func(t rdf.Triple) bool {
-		if t.Object.IsLiteral() {
-			s.LiteralObjects++
+	for id, t := range m.tab.terms {
+		subj, pred, obj := len(m.tab.post[posS][id]), len(m.tab.post[posP][id]), len(m.tab.post[posO][id])
+		s.IndexSPO += subj
+		s.IndexPOS += pred
+		s.IndexOSP += obj
+		s.DistinctSubjects += min(subj, 1)
+		s.DistinctPredicates += min(pred, 1)
+		s.DistinctObjects += min(obj, 1)
+		if t.IsLiteral() {
+			s.LiteralObjects += obj
 		} else {
-			s.ResourceObjects++
+			s.ResourceObjects += obj
 		}
-		s.ApproxBytes += len(t.Subject.Value()) + len(t.Predicate.Value()) +
-			len(t.Object.Value()) + len(t.Object.Datatype())
-		return true
-	})
+		s.ApproxBytes += int(termStringBytes(t)) * (subj + pred + obj)
+	}
 	if ls, ok := obs.LockProfile(obs.LockTrimStore); ok {
 		s.Locks = []obs.LockStats{ls}
 	}

@@ -4,13 +4,15 @@
 // representation. Through TRIM, the DMI can create, remove, persist (through
 // XML files), query, and create simple views over the underlying triples."
 //
-// The Manager is a concurrency-safe, fully indexed in-memory triple store.
-// Selection queries (any subset of subject/predicate/object fixed) are served
-// from hash indexes; views are reachability closures from a root resource.
+// The Manager is a concurrency-safe, fully indexed in-memory triple store
+// over one interned layout (layout.go). Selection queries (any subset of
+// subject/predicate/object fixed) are served from per-term posting lists;
+// views are reachability closures from a root resource.
 package trim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -24,16 +26,9 @@ type Manager struct {
 	// lock.trim.store.* metric families and /debug/contention — the
 	// telemetry the ROADMAP item-2 sharding work is scored against.
 	mu *obs.TrackedRWMutex
-	// graph is the ground truth set of triples; guarded by mu.
-	graph *rdf.Graph
-	// Hash indexes, one per triple position. Values are sets of triples.
-	bySubject   map[rdf.Term]map[rdf.Triple]struct{} // guarded by mu
-	byPredicate map[rdf.Term]map[rdf.Triple]struct{} // guarded by mu
-	byObject    map[rdf.Term]map[rdf.Triple]struct{} // guarded by mu
-	// predCards tracks per-predicate cardinality (triples, distinct
-	// subjects/objects), maintained by the mutation points so EXPLAIN's
-	// selectivity estimates are always exact. Guarded by mu.
-	predCards map[rdf.Term]*predCard
+	// tab is the interned triple table (layout.go): the one copy of the
+	// store's triples, their indexes, and their statistics. Guarded by mu.
+	tab layout
 	// generation increments on every successful mutation; observers and
 	// optimistic readers use it to detect change. Guarded by mu.
 	generation uint64
@@ -74,11 +69,7 @@ type obsEvent struct {
 func NewManager() *Manager {
 	return &Manager{
 		mu:           obs.NewTrackedRWMutex(obs.LockTrimStore),
-		graph:        rdf.NewGraph(),
-		bySubject:    make(map[rdf.Term]map[rdf.Triple]struct{}),
-		byPredicate:  make(map[rdf.Term]map[rdf.Triple]struct{}),
-		byObject:     make(map[rdf.Term]map[rdf.Triple]struct{}),
-		predCards:    make(map[rdf.Term]*predCard),
+		tab:          newLayout(0),
 		observers:    make(map[int]Observer),
 		seqObservers: make(map[int]SeqObserver),
 	}
@@ -106,17 +97,12 @@ func (m *Manager) Create(t rdf.Triple) (bool, error) {
 }
 
 func (m *Manager) createLocked(t rdf.Triple) (bool, error) {
-	added, err := m.graph.Add(t)
-	if err != nil {
+	if err := t.Validate(); err != nil {
 		return false, fmt.Errorf("trim: create: %w", err)
 	}
-	if !added {
+	if !m.tab.add(t) {
 		return false, nil
 	}
-	indexAdd(m.bySubject, t.Subject, t)
-	indexAdd(m.byPredicate, t.Predicate, t)
-	indexAdd(m.byObject, t.Object, t)
-	m.cardAddLocked(t)
 	m.generation++
 	m.queueNotifyLocked(t, true)
 	return true, nil
@@ -137,13 +123,9 @@ func (m *Manager) Remove(t rdf.Triple) bool {
 }
 
 func (m *Manager) removeLocked(t rdf.Triple) bool {
-	if !m.graph.Remove(t) {
+	if !m.tab.remove(t) {
 		return false
 	}
-	indexRemove(m.bySubject, t.Subject, t)
-	indexRemove(m.byPredicate, t.Predicate, t)
-	indexRemove(m.byObject, t.Object, t)
-	m.cardRemoveLocked(t)
 	m.generation++
 	m.queueNotifyLocked(t, false)
 	return true
@@ -153,28 +135,35 @@ func (m *Manager) removeLocked(t rdf.Triple) bool {
 // many were removed.
 func (m *Manager) RemoveMatching(p rdf.Pattern) int {
 	m.mu.Lock()
-	matches := m.selectLocked(p)
-	for _, t := range matches {
-		m.removeLocked(t)
-	}
+	n := len(m.removeMatchingLocked(p))
 	events, targets, seqTargets := m.drainLocked()
 	m.mu.Unlock()
 	m.deliver(targets, seqTargets, events)
-	return len(matches)
+	return n
+}
+
+// removeMatchingLocked removes every match of p, in sorted order, and
+// returns what it removed.
+func (m *Manager) removeMatchingLocked(p rdf.Pattern) []rdf.Triple {
+	matches, _, _ := m.selectLocked(p)
+	for _, t := range matches {
+		m.removeLocked(t)
+	}
+	return matches
 }
 
 // Has reports whether the exact triple is stored.
 func (m *Manager) Has(t rdf.Triple) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.graph.Has(t)
+	return m.tab.has(t)
 }
 
 // Len returns the number of stored triples.
 func (m *Manager) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.graph.Len()
+	return len(m.tab.rows)
 }
 
 // Generation returns the mutation counter; it increases on every successful
@@ -187,18 +176,25 @@ func (m *Manager) Generation() uint64 {
 
 // Select returns all triples matching the pattern in deterministic order.
 // The query planner uses the most selective available index: an exact
-// subject, object, or predicate binding narrows the scan to that index
-// bucket; a fully wild pattern scans the whole store.
+// subject, object, or predicate binding narrows the scan to that term's
+// posting list; a fully wild pattern scans the whole store. The EXPLAIN
+// of a select is built only when it turns out slow.
 func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
 	start := time.Now()
 	m.mu.RLock()
-	out, e := m.selectExplainLocked(p)
+	out, choice, candidates := m.selectLocked(p)
+	var e Explain
+	slow := obs.DefaultSlowOps.Slow(time.Since(start))
+	if slow {
+		e = m.explainLocked("select", choice, candidates, len(out))
+		e.EstRows, e.EstSelectivity = m.estimateLocked(p)
+	}
 	m.mu.RUnlock()
 	d := time.Since(start)
 	mSelectNS.Observe(int64(d))
 	mSelectTotal.Inc()
-	recordSelectShape(p, e.Index)
-	if obs.DefaultSlowOps.Slow(d) {
+	recordSelectShape(p, choice.String())
+	if slow {
 		e.Query = p.String()
 		e.WallNS = int64(d)
 		e.journal(start)
@@ -206,50 +202,30 @@ func (m *Manager) Select(p rdf.Pattern) []rdf.Triple {
 	return out
 }
 
-// selectLocked runs a selection under a held lock, discarding the explain.
-func (m *Manager) selectLocked(p rdf.Pattern) []rdf.Triple {
-	out, _ := m.selectExplainLocked(p)
-	return out
-}
-
-// chooseIndexLocked picks the smallest applicable index bucket. The second
-// result is indexNone when no position is bound (full scan needed).
-func (m *Manager) chooseIndexLocked(p rdf.Pattern) (map[rdf.Triple]struct{}, indexChoice) {
-	var best map[rdf.Triple]struct{}
-	choice := indexNone
-	consider := func(idx map[rdf.Term]map[rdf.Triple]struct{}, key rdf.Term, which indexChoice) {
-		if key.IsZero() {
-			return
-		}
-		bucket := idx[key] // nil bucket = empty result, still a valid choice
-		if choice == indexNone || len(bucket) < len(best) {
-			best, choice = bucket, which
-		}
+// selectLocked runs a selection under a held lock: the matching triples
+// in sorted order, the planner's index choice, and the rows it examined.
+// The result is sized once, from the examined posting list.
+func (m *Manager) selectLocked(p rdf.Pattern) ([]rdf.Triple, indexChoice, int) {
+	rows, choice, q := m.tab.plan(p)
+	choice.count()
+	candidates := len(rows)
+	if choice == indexNone {
+		candidates = len(m.tab.rows)
 	}
-	consider(m.bySubject, p.Subject, indexSubject)
-	consider(m.byObject, p.Object, indexObject)
-	consider(m.byPredicate, p.Predicate, indexPredicate)
-	return best, choice
+	out := m.tab.collect(make([]rdf.Triple, 0, candidates), rows, choice, q)
+	slices.SortFunc(out, rdf.Triple.Compare)
+	return out, choice, candidates
 }
 
 // Count returns the number of triples matching the pattern without
-// materializing them in sorted order.
+// materializing them.
 func (m *Manager) Count(p rdf.Pattern) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	mCountTotal.Inc()
-	bucket, choice := m.chooseIndexLocked(p)
+	rows, choice, q := m.tab.plan(p)
 	choice.count()
-	if choice == indexNone {
-		return m.graph.Len()
-	}
-	n := 0
-	for t := range bucket {
-		if p.Matches(t) {
-			n++
-		}
-	}
-	return n
+	return m.tab.count(rows, choice, q)
 }
 
 // One returns the single triple matching the pattern. It returns an error
@@ -294,9 +270,7 @@ func (m *Manager) Subjects(predicate, object rdf.Term) []rdf.Term {
 // Update_ operations.
 func (m *Manager) SetUnique(subject, predicate, object rdf.Term) error {
 	m.mu.Lock()
-	for _, t := range m.selectLocked(rdf.P(subject, predicate, rdf.Zero)) {
-		m.removeLocked(t)
-	}
+	m.removeMatchingLocked(rdf.P(subject, predicate, rdf.Zero))
 	_, err := m.createLocked(rdf.T(subject, predicate, object))
 	events, targets, seqTargets := m.drainLocked()
 	m.mu.Unlock()
@@ -308,14 +282,23 @@ func (m *Manager) SetUnique(subject, predicate, object rdf.Term) error {
 func (m *Manager) Snapshot() *rdf.Graph {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.graph.Clone()
+	g := rdf.NewGraph()
+	for r := range m.tab.rows {
+		// Stored triples were validated on the way in.
+		if _, err := g.Add(m.tab.triple(uint32(r))); err != nil {
+			panic(fmt.Sprintf("trim: snapshot: %v", err))
+		}
+	}
+	return g
 }
 
-// Replace swaps the manager's contents for the given graph, rebuilding all
-// indexes. It is the load primitive for persistence. Loaded triples count
-// toward trim.create.total/new (they enter the store like any create) and
-// additionally toward trim.load.triples, which tells bulk loads apart;
-// trim.create.ns records only individual Create calls.
+// Replace swaps the manager's contents for the given graph, interning it
+// straight into a fresh table outside the store lock, so a load never
+// holds a second copy of the store. It is the load primitive for
+// persistence. Loaded triples count toward trim.create.total/new (they
+// enter the store like any create) and additionally toward
+// trim.load.triples, which tells bulk loads apart; trim.create.ns records
+// only individual Create calls.
 func (m *Manager) Replace(g *rdf.Graph) {
 	start := time.Now()
 	defer mLoadNS.ObserveSince(start)
@@ -323,20 +306,14 @@ func (m *Manager) Replace(g *rdf.Graph) {
 	mLoadTriples.Add(n)
 	mCreateTotal.Add(n)
 	mCreateNew.Add(n)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.graph = g.Clone()
-	m.bySubject = make(map[rdf.Term]map[rdf.Triple]struct{})
-	m.byPredicate = make(map[rdf.Term]map[rdf.Triple]struct{})
-	m.byObject = make(map[rdf.Term]map[rdf.Triple]struct{})
-	m.predCards = make(map[rdf.Term]*predCard)
-	m.graph.Each(func(t rdf.Triple) bool {
-		indexAdd(m.bySubject, t.Subject, t)
-		indexAdd(m.byPredicate, t.Predicate, t)
-		indexAdd(m.byObject, t.Object, t)
-		m.cardAddLocked(t)
+	tab := newLayout(g.Len())
+	g.Each(func(t rdf.Triple) bool {
+		tab.add(t)
 		return true
 	})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tab = tab
 	m.generation++
 }
 
@@ -421,25 +398,5 @@ func (m *Manager) deliver(targets []Observer, seqTargets []SeqObserver, events [
 		for _, o := range seqTargets {
 			o(ev.gen, ev.t, ev.added)
 		}
-	}
-}
-
-func indexAdd(idx map[rdf.Term]map[rdf.Triple]struct{}, key rdf.Term, t rdf.Triple) {
-	set, ok := idx[key]
-	if !ok {
-		set = make(map[rdf.Triple]struct{})
-		idx[key] = set
-	}
-	set[t] = struct{}{}
-}
-
-func indexRemove(idx map[rdf.Term]map[rdf.Triple]struct{}, key rdf.Term, t rdf.Triple) {
-	set, ok := idx[key]
-	if !ok {
-		return
-	}
-	delete(set, t)
-	if len(set) == 0 {
-		delete(idx, key)
 	}
 }

@@ -1,7 +1,7 @@
 package trim
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -26,13 +26,18 @@ func (m *Manager) View(root rdf.Term) *rdf.Graph {
 func (m *Manager) ViewFiltered(root rdf.Term, filter func(rdf.Triple) bool) *rdf.Graph {
 	start := time.Now()
 	m.mu.RLock()
-	out, e := m.viewExplainLocked(root, filter)
+	out, candidates := m.viewLocked(root, filter)
+	var e Explain
+	slow := obs.DefaultSlowOps.Slow(time.Since(start))
+	if slow {
+		e = m.explainLocked("view", indexSubject, candidates, out.Len())
+	}
 	m.mu.RUnlock()
 	d := time.Since(start)
 	mViewNS.Observe(int64(d))
 	mViewTotal.Inc()
 	recordViewShape()
-	if obs.DefaultSlowOps.Slow(d) {
+	if slow {
 		e.Query = root.String()
 		e.WallNS = int64(d)
 		e.journal(start)
@@ -40,48 +45,35 @@ func (m *Manager) ViewFiltered(root rdf.Term, filter func(rdf.Triple) bool) *rdf
 	return out
 }
 
-// viewExplainLocked is the reachability walk behind View, ViewFiltered,
-// and ViewExplain; Candidates counts every edge examined.
-func (m *Manager) viewExplainLocked(root rdf.Term, filter func(rdf.Triple) bool) (*rdf.Graph, Explain) {
-	e := Explain{
-		Op:         "view",
-		Index:      indexSubject.String(),
-		Observers:  len(m.observers),
-		StoreSize:  m.graph.Len(),
-		Generation: m.generation,
+// viewLocked is the reachability walk behind View, ViewFiltered, and
+// ViewExplain; candidates counts every edge examined.
+func (m *Manager) viewLocked(root rdf.Term, filter func(rdf.Triple) bool) (out *rdf.Graph, candidates int) {
+	out = rdf.NewGraph()
+	id, ok := m.tab.ids[root]
+	if !root.IsResource() || !ok {
+		return out, 0
 	}
-	out := rdf.NewGraph()
-	if !root.IsResource() {
-		return out, e
-	}
-	visited := map[rdf.Term]struct{}{root: {}}
-	frontier := []rdf.Term{root}
-	for len(frontier) > 0 {
-		node := frontier[0]
-		frontier = frontier[1:]
-		for t := range m.bySubject[node] {
-			e.Candidates++
+	visited := map[uint32]struct{}{id: {}}
+	for frontier := []uint32{id}; len(frontier) > 0; frontier = frontier[1:] {
+		for _, r := range m.tab.post[posS][frontier[0]] {
+			candidates++
+			t := m.tab.triple(r)
 			if filter != nil && !filter(t) {
 				continue
 			}
-			// Triples coming out of the graph are already validated.
+			// Triples coming out of the store are already validated.
 			if _, err := out.Add(t); err != nil {
-				// Unreachable by construction; skip defensively.
 				continue
 			}
-			obj := t.Object
-			if !obj.IsResource() {
-				continue
-			}
-			if _, seen := visited[obj]; seen {
+			obj := m.tab.rows[r].ids[posO]
+			if _, seen := visited[obj]; seen || !t.Object.IsResource() {
 				continue
 			}
 			visited[obj] = struct{}{}
 			frontier = append(frontier, obj)
 		}
 	}
-	e.Matched = out.Len()
-	return out, e
+	return out, candidates
 }
 
 // Reachable returns the set of resources reachable from root (including
@@ -115,20 +107,19 @@ func (m *Manager) ReachesFrom(root, target rdf.Term) bool {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	visited := map[rdf.Term]struct{}{root: {}}
-	frontier := []rdf.Term{root}
-	for len(frontier) > 0 {
-		node := frontier[0]
-		frontier = frontier[1:]
-		for t := range m.bySubject[node] {
-			obj := t.Object
-			if obj == target {
+	from, okFrom := m.tab.ids[root]
+	to, okTo := m.tab.ids[target]
+	if !okFrom || !okTo {
+		return false
+	}
+	visited := map[uint32]struct{}{from: {}}
+	for frontier := []uint32{from}; len(frontier) > 0; frontier = frontier[1:] {
+		for _, r := range m.tab.post[posS][frontier[0]] {
+			obj := m.tab.rows[r].ids[posO]
+			if obj == to {
 				return true
 			}
-			if !obj.IsResource() {
-				continue
-			}
-			if _, seen := visited[obj]; seen {
+			if _, seen := visited[obj]; seen || !m.tab.terms[obj].IsResource() {
 				continue
 			}
 			visited[obj] = struct{}{}
@@ -139,5 +130,5 @@ func (m *Manager) ReachesFrom(root, target rdf.Term) bool {
 }
 
 func sortTerms(ts []rdf.Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	slices.SortFunc(ts, rdf.Term.Compare)
 }
