@@ -204,9 +204,12 @@ func (l *layout) plan(p rdf.Pattern) (rows []uint32, choice indexChoice, q idPat
 		if c.term.IsZero() {
 			continue
 		}
-		q.bound[c.k] = true
-		q.ids[c.k] = l.ids[c.term]
-		list := l.postings(c.k, c.term)
+		id, ok := l.ids[c.term]
+		q.bound[c.k], q.ids[c.k] = true, id
+		var list []uint32
+		if ok {
+			list = l.post[c.k][id]
+		}
 		if choice == indexNone || len(list) < len(rows) {
 			rows, choice = list, c.choice
 		}
