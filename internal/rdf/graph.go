@@ -16,6 +16,11 @@ func NewGraph() *Graph {
 	return &Graph{triples: make(map[Triple]struct{})}
 }
 
+// NewGraphSize returns an empty graph with room for n triples.
+func NewGraphSize(n int) *Graph {
+	return &Graph{triples: make(map[Triple]struct{}, n)}
+}
+
 // Add inserts a triple after validating it. It reports whether the triple
 // was newly added (false means it was already present).
 func (g *Graph) Add(t Triple) (bool, error) {

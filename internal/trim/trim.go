@@ -282,7 +282,7 @@ func (m *Manager) SetUnique(subject, predicate, object rdf.Term) error {
 func (m *Manager) Snapshot() *rdf.Graph {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	g := rdf.NewGraph()
+	g := rdf.NewGraphSize(len(m.tab.rows))
 	for r := range m.tab.rows {
 		// Stored triples were validated on the way in.
 		if _, err := g.Add(m.tab.triple(uint32(r))); err != nil {
