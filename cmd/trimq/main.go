@@ -35,10 +35,10 @@
 // count, snapshot usability — and exits non-zero on a torn tail, so
 // scripts can gate on it. space runs the deep space accountant (total vs
 // unique string bytes, duplication ratio, and the bytes the interned
-// layout holds in its dictionary, rows, and postings); -probe adds benchmark-style allocs/op and B/op probes
-// over the heavy-hitter query shapes, and -min-dup exits non-zero when
-// the duplication ratio falls below the floor, so scripts can gate on
-// that too.
+// layout holds in its dictionary, rows, and postings); -probe adds
+// benchmark-style allocs/op and B/op probes over the heavy-hitter query
+// shapes, and -min-dup exits non-zero when the duplication ratio falls
+// below the floor, so scripts can gate on that too.
 //
 // Query terms are '?' (wildcard), a prefix:local qualified name, a full IRI,
 // or a "quoted string" literal. explain runs the query and reports the
