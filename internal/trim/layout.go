@@ -100,11 +100,14 @@ func (l *layout) release(id uint32) {
 // key resolves a triple to its ID triple without interning; ok is false
 // when some term is not in the dictionary (so the triple is not stored).
 func (l *layout) key(t rdf.Triple) (ids [3]uint32, ok bool) {
-	var okS, okP, okO bool
-	ids[posS], okS = l.ids[t.Subject]
-	ids[posP], okP = l.ids[t.Predicate]
-	ids[posO], okO = l.ids[t.Object]
-	return ids, okS && okP && okO
+	if ids[posS], ok = l.ids[t.Subject]; !ok {
+		return ids, false
+	}
+	if ids[posP], ok = l.ids[t.Predicate]; !ok {
+		return ids, false
+	}
+	ids[posO], ok = l.ids[t.Object]
+	return ids, ok
 }
 
 // has reports whether the triple is stored.
